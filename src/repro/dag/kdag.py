@@ -183,10 +183,9 @@ class KDag:
 
     def work_vector(self) -> np.ndarray:
         """``T1(J, alpha)`` for every ``alpha`` as a length-K array."""
-        counts = np.zeros(self._k, dtype=np.int64)
-        for c in self._category:
-            counts[c] += 1
-        return counts
+        return np.bincount(
+            np.asarray(self._category, dtype=np.int64), minlength=self._k
+        ).astype(np.int64, copy=False)
 
     def total_work(self) -> int:
         """Total number of vertices across all categories."""

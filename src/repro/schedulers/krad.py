@@ -43,17 +43,17 @@ class _BatchCategory:
     ascending ``seq`` is queue order, and moving a job to the queue back is
     assigning it the next fresh number.  Rotating served jobs in their
     original relative order therefore reproduces the list semantics of
-    :meth:`RadCategoryState._rotate` exactly.
+    :meth:`RadCategoryState._rotate` exactly.  ``seq`` and ``marked`` are
+    column views of the batch's ``(n, K)`` matrices, and the fresh numbers
+    come from one counter shared by all categories (only their order
+    within a category matters).
     """
 
-    __slots__ = ("seq", "marked", "next_seq", "rotate", "transitions", "n_marked")
+    __slots__ = ("seq", "marked", "rotate", "transitions", "n_marked")
 
-    def __init__(self) -> None:
-        self.seq = np.empty(0, dtype=np.int64)
-        self.marked = np.zeros(0, dtype=bool)
-        self.next_seq = 0
-        self.rotate = True
-        self.transitions = dict.fromkeys(RadCategoryState.TRANSITION_KINDS, 0)
+    def __init__(self, state: RadCategoryState) -> None:
+        self.rotate = state._rotate_enabled
+        self.transitions = dict(state._transitions)
         self.n_marked = 0
 
 
@@ -96,23 +96,29 @@ class KRadBatch:
     Rows correspond, in order, to the engine's live jobs (arrival order).
     The engine owns row membership: it calls :meth:`sync` whenever the live
     set changes — which performs, in one shot, exactly what ``register`` +
-    ``prune`` do on the list form — and :meth:`allocate` once per step with
-    the ``(n, K)`` desire matrix.  While a batch is active it *is* the
-    scheduler state; :meth:`KRad.state_dict` materialises it back to the
-    canonical list form on demand, so checkpoints, digests and monitors
-    see the identical structure either way.
+    ``prune`` do on the list form — and :meth:`allocate` or
+    :meth:`allocate_matrix` once per step with the ``(n, K)`` desire
+    matrix.  While a batch is active it *is* the scheduler state;
+    :meth:`KRad.state_dict` materialises it back to the canonical list
+    form on demand, so checkpoints, digests and monitors see the identical
+    structure either way.
     """
+
+    #: batches of at most this many rows take the pure-Python step: below
+    #: it numpy's fixed per-call cost outweighs the per-row work it saves
+    #: (thresholds from 8 to 64 measured alike on the benchmark's cells)
+    scalar_rows = 16
 
     def __init__(self, krad: "KRad", jids) -> None:
         self._krad = krad
         self.jids: list[int] = list(jids)
-        n = len(self.jids)
+        n, k = len(self.jids), len(krad._states)
         alive = set(self.jids)
-        self._cats: list[_BatchCategory] = []
-        for state in krad._states:
-            c = _BatchCategory()
-            c.rotate = state._rotate_enabled
-            c.transitions = dict(state._transitions)
+        self._cats = [_BatchCategory(state) for state in krad._states]
+        self.seq = np.empty((n, k), dtype=np.int64)
+        self.marked = np.zeros((n, k), dtype=bool)
+        self.next_seq = n
+        for alpha, state in enumerate(krad._states):
             # Seed queue order from the canonical state: known jobs keep
             # their rank (ids no longer alive are pruned), unseen jobs are
             # registered behind them in row order.
@@ -120,230 +126,185 @@ class KRadBatch:
             seen = set(order)
             order += [j for j in self.jids if j not in seen]
             rank = {j: i for i, j in enumerate(order)}
-            c.seq = np.asarray([rank[j] for j in self.jids], dtype=np.int64)
-            c.next_seq = n
+            self.seq[:, alpha] = [rank[j] for j in self.jids]
             marked = state._marked & alive
-            c.marked = np.asarray(
-                [j in marked for j in self.jids], dtype=bool
-            )
-            c.n_marked = len(marked)
-            self._cats.append(c)
+            self.marked[:, alpha] = [j in marked for j in self.jids]
+        self._bind()
+
+    def _bind(self, recount: bool = True) -> None:
+        """Point each category at its columns of the state matrices."""
+        counts = self.marked.sum(axis=0).tolist() if recount else None
+        for alpha, c in enumerate(self._cats):
+            c.seq = self.seq[:, alpha]
+            c.marked = self.marked[:, alpha]
+            if recount:
+                c.n_marked = counts[alpha]
 
     # ------------------------------------------------------------------
-    def sync(self, surv_pos, perm, fresh_pos, new_jids) -> None:
-        """Reconcile rows with the engine's new live set.
+    def sync(self, kept, carried, jids) -> None:
+        """Reconcile rows with the engine's new live list ``jids``.
 
-        ``new_jids`` is the new live list; row ``surv_pos[i]`` of the new
-        layout is old row ``perm[i]`` (surviving jobs keep seq and mark —
-        including a killed-and-resubmitted job that never left the live
-        set between two allocations, mirroring the list form where such a
-        job is never pruned), and ``fresh_pos`` rows are newcomers
-        registered at the queue back in row order.  Rows absent from
-        ``perm`` are pruned.
+        Old rows ``kept`` (an index array; ``None`` keeps them all)
+        survive in order and the remaining entries of ``jids`` are
+        appended rows.  ``carried`` maps an appended row's offset to the
+        old row whose seq and mark it inherits: a job killed and
+        resubmitted between two allocations is never pruned by the list
+        form either.  Every other appended row is a newcomer registered
+        at the queue back in row order.  Dropping rows is the prune.
         """
-        n = len(new_jids)
-        sp = np.asarray(surv_pos, dtype=np.intp)
-        pm = np.asarray(perm, dtype=np.intp)
-        fp = np.asarray(fresh_pos, dtype=np.intp)
-        for c in self._cats:
-            seq = np.empty(n, dtype=np.int64)
-            marked = np.zeros(n, dtype=bool)
-            if sp.size:
-                seq[sp] = c.seq[pm]
-                marked[sp] = c.marked[pm]
-            if fp.size:
-                seq[fp] = np.arange(
-                    c.next_seq, c.next_seq + fp.size, dtype=np.int64
+        seq, marked = self.seq, self.marked
+        if kept is not None:
+            seq, marked = seq[kept], marked[kept]
+        m = len(jids) - len(seq)
+        if m:
+            k = seq.shape[1]
+            nxt = self.next_seq
+            self.next_seq = nxt + m
+            add = [[v] * k for v in range(nxt, nxt + m)]
+            mark = np.zeros((m, k), dtype=bool)
+            for i, r in carried:
+                add[i] = self.seq[r]
+                mark[i] = self.marked[r]
+            seq = np.concatenate([seq, np.array(add, dtype=np.int64)])
+            marked = np.concatenate([marked, mark])
+        self.seq, self.marked = seq, marked
+        self.jids = jids
+        # marks only change count when marked rows leave or come back
+        self._bind(bool(carried) or any(c.n_marked for c in self._cats))
+
+    # ------------------------------------------------------------------
+    def _steps(self, desire_matrix: np.ndarray, capacities):
+        """Yield each category's served ``(rows, allotments)``.
+
+        Few rows take a pure-Python path (numpy's per-call cost dominates
+        there); many rows take argsorts over the service-sequence numbers.
+        Both feed the same :meth:`_category_step`.
+        """
+        n = len(self.jids)
+        if n <= self.scalar_rows:
+            cols = list(zip(*desire_matrix.tolist())) or [()] * len(self._cats)
+            for alpha, c in enumerate(self._cats):
+                col = cols[alpha]
+                act = [r for r in range(n) if col[r] > 0]
+                yield self._category_step(
+                    c, act, col, int(capacities[alpha]), False
                 )
-                c.next_seq += int(fp.size)
-            c.seq = seq
-            c.marked = marked
-            c.n_marked = int(marked.sum())
-        self.jids = list(new_jids)
+        else:
+            active = desire_matrix > 0
+            for alpha, c in enumerate(self._cats):
+                act = np.flatnonzero(active[:, alpha])
+                yield self._category_step(
+                    c, act, desire_matrix[:, alpha], int(capacities[alpha]),
+                    True,
+                )
+
+    def _category_step(self, c: _BatchCategory, act, col, cap: int, vec):
+        """One RAD step of one category (the list form's ``allocate``).
+
+        ``act`` holds the alpha-active rows in ascending order and ``col``
+        the alpha-desires by row.  Returns the served rows and their
+        allotments in service order: round-robin picks in queue order,
+        or the DEQ partition in :func:`deq_allocate`'s order.
+        """
+        if not len(act):
+            if c.n_marked:
+                # No active job while a cycle is open: the DEQ step that
+                # would close it is empty, but the cycle still closes and
+                # the marks clear (list form: Q empty, closing_cycle true).
+                self._close(c)
+            return (), ()
+        seq = c.seq
+        if vec:
+            am = c.marked[act]
+            unmarked, mact = act[~am], act[am]
+
+            def first(rows, m):  # the m earliest rows in queue order
+                return rows[np.argsort(seq[rows])[:m]].tolist()
+
+        else:
+            marked = c.marked.tolist()
+            unmarked = [r for r in act if not marked[r]]
+            mact = [r for r in act if marked[r]]
+            key = seq.tolist().__getitem__
+
+            def first(rows, m):
+                return sorted(rows, key=key)[:m]
+
+        if len(unmarked) > cap:
+            # Round-robin step: the first `cap` unmarked actives in queue
+            # order each get one processor and are marked.
+            if cap <= 0:
+                return (), ()
+            if not c.n_marked:
+                c.transitions["deq_to_rr"] += 1
+            chosen = first(unmarked, cap)
+            c.marked[chosen] = True
+            c.n_marked += len(chosen)
+            self._rotate(c, chosen)
+            return chosen, [1] * len(chosen)
+        # DEQ step (closing any open cycle): unmarked actives, then the
+        # first min(|Q'|, cap - |Q|) marked actives, each in queue order.
+        # (|Q| <= cap here, so the queue is at most cap rows long.)
+        take = min(len(mact), cap - len(unmarked))
+        closing = c.n_marked > 0
+        if closing:
+            self._close(c)
+        part = first(unmarked, cap)
+        if take > 0:
+            part += first(mact, take)
+        if not part:
+            return (), ()
+        want = col[part].tolist() if vec else [col[r] for r in part]
+        alloc = deq_allocate(part, dict(zip(part, want)), cap)
+        rows = [r for r, a in alloc.items() if a]
+        if closing and rows:
+            self._rotate(c, sorted(rows, key=seq.__getitem__))
+        return rows, [alloc[r] for r in rows]
+
+    @staticmethod
+    def _close(c: _BatchCategory) -> None:
+        c.transitions["rr_to_deq"] += 1
+        c.marked[:] = False
+        c.n_marked = 0
+
+    def _rotate(self, c: _BatchCategory, rows) -> None:
+        """Move served ``rows`` (in queue order) to the queue back."""
+        if c.rotate:
+            nxt = self.next_seq
+            c.seq[rows] = np.arange(nxt, nxt + len(rows))
+            self.next_seq = nxt + len(rows)
 
     # ------------------------------------------------------------------
     def allocate(self, desire_matrix: np.ndarray, capacities) -> dict:
         """One K-RAD step over the ``(n, K)`` desire matrix.
 
         Returns the same sparse ``{job_id: allotment vector}`` dict, with
-        the same insertion order, as :meth:`KRad.allocate` — round-robin
-        picks in queue order, then DEQ's satisfaction rounds.
+        the same insertion order, as :meth:`KRad.allocate`.
         """
-        jids = self.jids
         k = len(self._cats)
+        jids = self.jids
         out: dict[int, np.ndarray] = {}
-        if not jids:
-            for c in self._cats:
-                if c.n_marked:
-                    c.transitions["rr_to_deq"] += 1
-                    c.marked[:] = False
-                    c.n_marked = 0
-            return out
-        active_mask = desire_matrix > 0
-        for alpha, c in enumerate(self._cats):
-            cap = int(capacities[alpha])
-            act = np.flatnonzero(active_mask[:, alpha])
-            if act.size == 0:
-                if c.n_marked:
-                    # No active job while a cycle is open: the DEQ step
-                    # that would close it is empty, but the cycle still
-                    # closes and the marks clear (list form: Q empty,
-                    # closing_cycle true).
-                    c.transitions["rr_to_deq"] += 1
-                    c.marked[:] = False
-                    c.n_marked = 0
-                continue
-            seq = c.seq
-            act_marked = c.marked[act]
-            unmarked = act[~act_marked]
-            if unmarked.size > cap:
-                # Round-robin step: first `cap` unmarked actives in queue
-                # order each get one processor and are marked.
-                if cap > 0:
-                    if c.n_marked == 0:
-                        c.transitions["deq_to_rr"] += 1
-                    chosen = unmarked[np.argsort(seq[unmarked])[:cap]]
-                    c.marked[chosen] = True
-                    c.n_marked += int(chosen.size)
-                    if c.rotate:
-                        seq[chosen] = np.arange(
-                            c.next_seq,
-                            c.next_seq + chosen.size,
-                            dtype=np.int64,
-                        )
-                        c.next_seq += int(chosen.size)
-                    for r in chosen.tolist():
-                        jid = jids[r]
-                        row = out.get(jid)
-                        if row is None:
-                            row = out[jid] = np.zeros(k, dtype=np.int64)
-                        row[alpha] = 1
-                continue
-            # DEQ step (closing any open cycle): unmarked actives plus
-            # the first min(|Q'|, cap - |Q|) marked actives, queue order.
-            mact = act[act_marked]
-            take = min(int(mact.size), cap - int(unmarked.size))
-            closing = c.n_marked > 0
-            if closing:
-                c.transitions["rr_to_deq"] += 1
-                c.marked[:] = False
-                c.n_marked = 0
-            if unmarked.size:
-                part = unmarked[np.argsort(seq[unmarked])]
-            else:
-                part = unmarked
-            if take > 0:
-                m_sorted = mact[np.argsort(seq[mact])][:take]
-                part = np.concatenate([part, m_sorted])
-            if part.size == 0:
-                continue
-            part_list = part.tolist()
-            col = desire_matrix[part, alpha].tolist()
-            queue = [jids[r] for r in part_list]
-            alloc = deq_allocate(queue, dict(zip(queue, col)), cap)
-            rowpos = dict(zip(queue, part_list))
-            served_rows: list[int] = []
-            for jid, a in alloc.items():
-                if a:
-                    row = out.get(jid)
-                    if row is None:
-                        row = out[jid] = np.zeros(k, dtype=np.int64)
-                    row[alpha] = a
-                    served_rows.append(rowpos[jid])
-            if closing and c.rotate and served_rows:
-                sr = np.asarray(served_rows, dtype=np.intp)
-                sr = sr[np.argsort(seq[sr])]
-                seq[sr] = np.arange(
-                    c.next_seq, c.next_seq + sr.size, dtype=np.int64
-                )
-                c.next_seq += int(sr.size)
+        for alpha, (rows, allots) in enumerate(
+            self._steps(desire_matrix, capacities)
+        ):
+            for r, a in zip(rows, allots):
+                row = out.get(jids[r])
+                if row is None:
+                    row = out[jids[r]] = np.zeros(k, dtype=np.int64)
+                row[alpha] = a
         return out
 
-    # ------------------------------------------------------------------
     def allocate_matrix(
         self, desire_matrix: np.ndarray, capacities
     ) -> np.ndarray:
-        """Like :meth:`allocate`, returning an ``(n, K)`` allotment matrix.
-
-        Identical allocation values and state evolution; used by the fast
-        engine's lean execution path, where no consumer needs the dict
-        form (and hence its insertion order).  DEQ rounds still run
-        through :func:`deq_allocate` so per-job integer remainders match
-        the reference bit-for-bit.
-        """
-        n = len(self.jids)
-        k = len(self._cats)
-        A = np.zeros((n, k), dtype=np.int64)
-        if n == 0:
-            for c in self._cats:
-                if c.n_marked:
-                    c.transitions["rr_to_deq"] += 1
-                    c.marked[:] = False
-                    c.n_marked = 0
-            return A
-        active_mask = desire_matrix > 0
-        jids = self.jids
-        for alpha, c in enumerate(self._cats):
-            cap = int(capacities[alpha])
-            act = np.flatnonzero(active_mask[:, alpha])
-            if act.size == 0:
-                if c.n_marked:
-                    c.transitions["rr_to_deq"] += 1
-                    c.marked[:] = False
-                    c.n_marked = 0
-                continue
-            seq = c.seq
-            act_marked = c.marked[act]
-            unmarked = act[~act_marked]
-            if unmarked.size > cap:
-                if cap > 0:
-                    if c.n_marked == 0:
-                        c.transitions["deq_to_rr"] += 1
-                    chosen = unmarked[np.argsort(seq[unmarked])[:cap]]
-                    c.marked[chosen] = True
-                    c.n_marked += int(chosen.size)
-                    if c.rotate:
-                        seq[chosen] = np.arange(
-                            c.next_seq,
-                            c.next_seq + chosen.size,
-                            dtype=np.int64,
-                        )
-                        c.next_seq += int(chosen.size)
-                    A[chosen, alpha] = 1
-                continue
-            mact = act[act_marked]
-            take = min(int(mact.size), cap - int(unmarked.size))
-            closing = c.n_marked > 0
-            if closing:
-                c.transitions["rr_to_deq"] += 1
-                c.marked[:] = False
-                c.n_marked = 0
-            if unmarked.size:
-                part = unmarked[np.argsort(seq[unmarked])]
-            else:
-                part = unmarked
-            if take > 0:
-                m_sorted = mact[np.argsort(seq[mact])][:take]
-                part = np.concatenate([part, m_sorted])
-            if part.size == 0:
-                continue
-            part_list = part.tolist()
-            col = desire_matrix[part, alpha].tolist()
-            queue = [jids[r] for r in part_list]
-            alloc = deq_allocate(queue, dict(zip(queue, col)), cap)
-            rowpos = dict(zip(queue, part_list))
-            served_rows: list[int] = []
-            for jid, a in alloc.items():
-                if a:
-                    A[rowpos[jid], alpha] = a
-                    served_rows.append(rowpos[jid])
-            if closing and c.rotate and served_rows:
-                sr = np.asarray(served_rows, dtype=np.intp)
-                sr = sr[np.argsort(seq[sr])]
-                seq[sr] = np.arange(
-                    c.next_seq, c.next_seq + sr.size, dtype=np.int64
-                )
-                c.next_seq += int(sr.size)
+        """Like :meth:`allocate`, returning an ``(n, K)`` allotment matrix
+        (the lean execution path, where nothing needs the dict form)."""
+        A = np.zeros((len(self.jids), len(self._cats)), dtype=np.int64)
+        for alpha, (rows, allots) in enumerate(
+            self._steps(desire_matrix, capacities)
+        ):
+            if rows:
+                A[rows, alpha] = allots
         return A
 
     # ------------------------------------------------------------------

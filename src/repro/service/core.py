@@ -253,13 +253,21 @@ class SchedulingService:
         return True
 
     def tenant_in_flight(self, tenant: str) -> int:
+        """Pending, running and retrying jobs of ``tenant``.
+
+        Ids that can never return to flight (completed, failed,
+        quarantined, cancelled) are dropped from the tenant's list as
+        they are counted, so the quota check costs O(the tenant's live
+        jobs), not O(everything it ever submitted).
+        """
         ids = self._jobs_of.get(tenant)
         if not ids:
             return 0
-        sim = self._sim
-        return sum(
-            1 for jid in ids if sim.job_state(jid) in _IN_FLIGHT_STATES
-        )
+        state = self._sim.job_state
+        live = [jid for jid in ids if state(jid) in _IN_FLIGHT_STATES]
+        if len(live) != len(ids):
+            self._jobs_of[tenant] = live
+        return len(live)
 
     def total_in_flight(self) -> int:
         depths = self._sim.queue_depths()

@@ -588,14 +588,14 @@ class Simulator:
                 "copy (job.fresh_copy()) instead"
             )
         jid = job.job_id
+        # O(1) in the run's history: ``release`` holds every pending and
+        # arrived id, ``attempts`` every killed one (retrying or failed).
         if (
             jid in st.release
             or jid in st.completion
             or jid in st.alive
             or jid in st.quarantined
             or jid in st.attempts
-            or any(j.job_id == jid for j in st.pending)
-            or any(e[1] == jid for e in st.resubmit)
         ):
             raise SimulationError(
                 f"job id {jid} is already known to this run; submissions "
@@ -699,13 +699,14 @@ class Simulator:
             return "completed"
         if job_id in st.quarantined:
             return "quarantined"
-        if job_id in st.failed_jobs:
+        # Dict lookups only: ``release`` keeps every pending and arrived
+        # id (a permanent failure or a cancellation pops it) and
+        # ``attempts`` every killed one, so an id in both is awaiting
+        # resubmission and an id in ``attempts`` alone failed for good.
+        if job_id in st.release:
+            return "retrying" if job_id in st.attempts else "pending"
+        if job_id in st.attempts:
             return "failed"
-        if any(e[1] == job_id for e in st.resubmit):
-            return "retrying"
-        for j in st.pending[st.next_pending :]:
-            if j.job_id == job_id:
-                return "pending"
         return "unknown"
 
     def completion_time(self, job_id: int) -> int | None:

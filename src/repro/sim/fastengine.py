@@ -56,6 +56,7 @@ Four mechanisms carry the speedup:
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from time import perf_counter
 
 import numpy as np
@@ -70,6 +71,15 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import StepRecord
 
 __all__ = ["FastSimulator"]
+
+def _realign(X: np.ndarray, kept, add) -> np.ndarray:
+    """Rows ``kept`` of ``X`` (all of them if None), then the rows of
+    ``add`` (if any): one compaction plus one append."""
+    if kept is not None:
+        X = X[kept]
+    if add is not None:
+        X = np.concatenate([X, add])
+    return X
 
 
 class FastSimulator(Simulator):
@@ -104,10 +114,6 @@ class FastSimulator(Simulator):
         # Strict type check: a KRad *subclass* may override allocate, so
         # only the exact class is routed through the batch kernels.
         self._ft_vec = type(self._scheduler) is KRad
-        self._ft_jids: list[int] = list(st.alive)
-        self._ft_jobs: list[Job] = [st.alive[j] for j in self._ft_jids]
-        self._ft_rowidx = {j: i for i, j in enumerate(self._ft_jids)}
-        k = self._machine.num_categories
         # Incremental desire caching is only sound for backends declaring
         # the delta contract (Job.incremental_desires).  One opted-out job
         # anywhere in the run makes the engine re-poll every live job's
@@ -118,29 +124,6 @@ class FastSimulator(Simulator):
             and all(type(j).incremental_desires for j in st.alive.values())
             and all(type(e[2]).incremental_desires for e in st.resubmit)
         )
-        if self._ft_vec:
-            self._ft_D = np.zeros((len(self._ft_jids), k), dtype=np.int64)
-            if self._ft_incr:
-                for i, job in enumerate(self._ft_jobs):
-                    self._ft_D[i] = job.desire_vector()
-            self._ft_batch: KRadBatch | None = self._scheduler.begin_batch(
-                self._ft_jids
-            )
-            self._ft_desires: dict[int, np.ndarray] | None = None
-        else:
-            self._ft_D = None
-            self._ft_batch = None
-            # non-incremental: the dict is rebuilt at every step's
-            # allocation point, so build installs only a placeholder
-            self._ft_desires = (
-                {
-                    jid: job.desire_vector()
-                    for jid, job in zip(self._ft_jids, self._ft_jobs)
-                }
-                if self._ft_incr
-                else {}
-            )
-        self._ft_dirty = False
         # Steady-span skipping needs every job to predict its desire
         # trajectory; a single opted-out backend disables it for the run.
         self._ft_steady = all(
@@ -159,30 +142,54 @@ class FastSimulator(Simulator):
             and all(type(j) is PhaseJob for j in st.alive.values())
             and all(type(e[2]) is PhaseJob for e in st.resubmit)
         )
+        # Start from zero rows and append the live set as arrivals; the
+        # batch seeds its queue order from the scheduler's current state.
+        k = self._machine.num_categories
+        self._ft_jids: list[int] = []
+        self._ft_jobs: list[Job] = []
+        self._ft_rowidx: dict[int, int] | None = None
+        self._ft_gone: list[int] = []
+        self._ft_D = np.zeros((0, k), dtype=np.int64) if self._ft_vec else None
+        self._ft_desires: dict[int, np.ndarray] = {}
         if self._ft_lean:
-            n = len(self._ft_jids)
-            self._ft_R = np.zeros((n, k), dtype=np.int64)
-            self._ft_P = np.zeros((n, k), dtype=np.int64)
-            self._ft_PI = np.zeros(n, dtype=np.int64)
-            self._ft_LPI = np.zeros(n, dtype=np.int64)
-            self._ft_EC = np.zeros(n, dtype=np.int64)
-            self._ft_NP = np.zeros(n, dtype=np.int64)
-            for i, job in enumerate(self._ft_jobs):
-                self._ft_read_row(i, job)
+            self._ft_lean_rows(np.zeros((0, 3 * k + 4), dtype=np.int64))
+        self._ft_batch: KRadBatch | None = None
+        self._ft_sync(list(st.alive))
+        if self._ft_vec:
+            self._ft_batch = self._scheduler.begin_batch(self._ft_jids)
 
-    # ------------------------------------------------------------------
-    def _ft_read_row(self, i: int, job: Job) -> None:
-        """Load one job's runtime state into row ``i`` of the lean arrays."""
+    def _ft_lean_rows(self, S: np.ndarray) -> None:
+        """Install the lean-mode row state ``S`` and its column views:
+        current-phase remaining work ``R``, parallelism ``P`` and desire
+        ``D`` (K columns each), then phase index, last executed phase
+        index, executed counter and phase count.  One matrix, so a
+        membership change realigns all of them in one compaction."""
+        k = self._machine.num_categories
+        self._ft_S = S
+        self._ft_R, self._ft_P = S[:, :k], S[:, k : 2 * k]
+        self._ft_D = S[:, 2 * k : 3 * k]
+        self._ft_PI, self._ft_LPI = S[:, 3 * k], S[:, 3 * k + 1]
+        self._ft_EC, self._ft_NP = S[:, 3 * k + 2], S[:, 3 * k + 3]
+
+    @staticmethod
+    def _ft_lean_row(job: PhaseJob) -> list[int]:
+        """One job's runtime state as a row of the lean matrix."""
         rs = job.runtime_state()
-        pi = int(rs["phase_idx"])
-        self._ft_PI[i] = pi
-        self._ft_LPI[i] = int(rs["last_phase_idx"])
-        self._ft_R[i] = rs["remaining"]
-        self._ft_EC[i] = int(rs["executed_counter"])
-        phases = job.phases
-        self._ft_NP[i] = len(phases)
-        if pi < len(phases):
-            self._ft_P[i] = phases[pi].parallelism
+        pi, phases = int(rs["phase_idx"]), job.phases
+        par = (
+            phases[pi].parallelism.tolist()
+            if pi < len(phases)
+            else [0] * len(rs["remaining"])
+        )
+        return [
+            *rs["remaining"],
+            *par,
+            *job.desire_vector().tolist(),
+            pi,
+            int(rs["last_phase_idx"]),
+            int(rs["executed_counter"]),
+            len(phases),
+        ]
 
     # ------------------------------------------------------------------
     def _ft_flush(self) -> None:
@@ -257,111 +264,115 @@ class FastSimulator(Simulator):
         return super().backlog_span()
 
     # ------------------------------------------------------------------
-    def _ft_sync(self) -> None:
-        """Reconcile rows with the live set (arrivals/completions/kills).
+    def _ft_row_of(self) -> dict[int, int]:
+        """``job id -> row``, rebuilt lazily after a membership change."""
+        idx = self._ft_rowidx
+        if idx is None:
+            idx = self._ft_rowidx = dict(
+                zip(self._ft_jids, range(len(self._ft_jids)))
+            )
+        return idx
 
-        Runs lazily at the next allocation after membership changed —
-        the same point the reference scheduler's register+prune runs —
-        so digests and checkpoints taken at the end of a step still see
-        the jobs that completed during it, exactly like the reference.
+    def _ft_leave(self, jids) -> None:
+        """Note live jobs that left (completed, killed, quarantined)."""
+        idx = self._ft_row_of()
+        self._ft_gone.extend(idx[jid] for jid in jids)
+
+    def _ft_sync(self, arrived) -> None:
+        """Reconcile rows with the live set: O(change), not O(live).
+
+        Rows stay in place while their job lives.  Rows noted in
+        ``_ft_gone`` are removed in one compaction and ``arrived`` (this
+        step's arrivals, in live order) are appended, so row order stays
+        the live dict's order.  Runs lazily at the next allocation after
+        membership changed — the same point the reference scheduler's
+        register+prune runs — so digests and checkpoints taken at the end
+        of a step still see the jobs that completed during it.
         """
         st = self._state
-        new_jids = list(st.alive)
-        old_idx = self._ft_rowidx
-        old_jobs = self._ft_jobs
-        surv_pos: list[int] = []
-        perm: list[int] = []
-        fresh_pos: list[int] = []
-        refresh_pos: list[int] = []
-        new_jobs: list[Job] = []
-        for pos, jid in enumerate(new_jids):
-            job = st.alive[jid]
-            new_jobs.append(job)
-            row = old_idx.get(jid)
-            if row is None:
-                fresh_pos.append(pos)
-            else:
-                surv_pos.append(pos)
-                perm.append(row)
-                if job is not old_jobs[row]:
-                    # Killed and resubmitted between two allocations: the
-                    # scheduler state survives (the id was never pruned),
-                    # but the Job object is a fresh copy whose desires
-                    # must be re-read.
-                    refresh_pos.append(pos)
-        k = self._machine.num_categories
-        if self._ft_vec:
-            D = np.zeros((len(new_jids), k), dtype=np.int64)
-            if surv_pos:
-                D[surv_pos] = self._ft_D[perm]
-            if self._ft_incr:
-                for pos in fresh_pos + refresh_pos:
-                    D[pos] = new_jobs[pos].desire_vector()
-            # non-incremental: rows are filled by the per-step re-poll,
-            # keeping desire_vector() at one call per live job per step
-            self._ft_D = D
-            self._ft_batch.sync(surv_pos, perm, fresh_pos, new_jids)
-        elif self._ft_incr:
-            old = self._ft_desires
-            fresh = set(fresh_pos)
-            fresh.update(refresh_pos)
-            self._ft_desires = {
-                jid: (
-                    new_jobs[pos].desire_vector()
-                    if pos in fresh
-                    else old[jid]
-                )
-                for pos, jid in enumerate(new_jids)
-            }
+        old_jids = self._ft_jids
+        gone, self._ft_gone = self._ft_gone, []
+        kept = None
+        carried: list[tuple[int, int]] = []
+        jids, jobs = old_jids, self._ft_jobs
+        if gone:
+            mask = [True] * len(old_jids)
+            for r in gone:
+                mask[r] = False
+            kept = np.fromiter(
+                compress(range(len(mask)), mask), dtype=np.intp
+            )
+            jids = list(compress(old_jids, mask))
+            jobs = list(compress(jobs, mask))
+            # A job killed and resubmitted since the last allocation keeps
+            # its scheduler state (the list form never pruned it); its row
+            # moves to the back like its entry in the live dict.
+            back = {old_jids[r]: r for r in gone if old_jids[r] in st.alive}
+            if back:
+                carried = [
+                    (i, back[j]) for i, j in enumerate(arrived) if j in back
+                ]
+        new_jobs = [st.alive[jid] for jid in arrived]
+        self._ft_jids = jids = jids + list(arrived)
+        self._ft_jobs = jobs + new_jobs
+        self._ft_rowidx = None
         if self._ft_lean:
-            n = len(new_jids)
-            R = np.zeros((n, k), dtype=np.int64)
-            P = np.zeros((n, k), dtype=np.int64)
-            PI = np.zeros(n, dtype=np.int64)
-            LPI = np.zeros(n, dtype=np.int64)
-            EC = np.zeros(n, dtype=np.int64)
-            NP = np.zeros(n, dtype=np.int64)
-            if surv_pos:
-                R[surv_pos] = self._ft_R[perm]
-                P[surv_pos] = self._ft_P[perm]
-                PI[surv_pos] = self._ft_PI[perm]
-                LPI[surv_pos] = self._ft_LPI[perm]
-                EC[surv_pos] = self._ft_EC[perm]
-                NP[surv_pos] = self._ft_NP[perm]
-            self._ft_R, self._ft_P = R, P
-            self._ft_PI, self._ft_LPI = PI, LPI
-            self._ft_EC, self._ft_NP = EC, NP
-            for pos in fresh_pos + refresh_pos:
-                self._ft_read_row(pos, new_jobs[pos])
+            S = self._ft_S
+            add = None
+            if new_jobs:
+                add = np.array(
+                    [self._ft_lean_row(job) for job in new_jobs],
+                    dtype=np.int64,
+                )
+            self._ft_lean_rows(_realign(S, kept, add))
             prev = self._obs_prev_alloc
             if type(prev) is list:
-                # Realign the previous-allotment matrix to the new row
-                # order so the per-step realloc diff stays one aligned
+                # Realign the previous-allotment matrix to the new rows
+                # so the per-step realloc diff stays one aligned
                 # subtraction.  Fresh rows start at zero (the next diff
                 # charges their full allotment); departed rows are owed
                 # |prev - 0| and bank into the carry, paid out by the
                 # next diff — together exactly reallocation_volume's
-                # absent-job = zero-vector convention.
+                # absent-job = zero-vector convention.  (Kills, hence
+                # carried rows, never happen in lean mode.)
                 P_old = prev[2]
-                P_new = np.zeros((n, k), dtype=np.int64)
-                kept = 0
-                if surv_pos:
-                    sub = P_old[perm]
-                    P_new[surv_pos] = sub
-                    kept = int(sub.sum())
-                self._obs_realloc_carry += float(int(P_old.sum()) - kept)
-                self._obs_prev_alloc = ["matrix", new_jids, P_new]
-        self._ft_jids = new_jids
-        self._ft_jobs = new_jobs
-        self._ft_rowidx = {jid: i for i, jid in enumerate(new_jids)}
-        self._ft_dirty = False
+                if gone:
+                    self._obs_realloc_carry += float(P_old[gone].sum())
+                P_new = _realign(
+                    P_old, kept, None if add is None else np.zeros(
+                        (len(add), P_old.shape[1]), dtype=np.int64
+                    ),
+                )
+                self._obs_prev_alloc = ["matrix", jids, P_new]
+        elif self._ft_vec:
+            k = self._machine.num_categories
+            add = None
+            if new_jobs:
+                # non-incremental: rows are filled by the per-step
+                # re-poll, keeping desire_vector() at one call per live
+                # job per step
+                add = (
+                    np.array([job.desire_vector() for job in new_jobs])
+                    if self._ft_incr
+                    else np.zeros((len(new_jobs), k), dtype=np.int64)
+                )
+            self._ft_D = _realign(self._ft_D, kept, add)
+        elif self._ft_incr:
+            desires = dict(self._ft_desires)  # the trace may hold the old
+            for r in gone:
+                desires.pop(old_jids[r], None)
+            for jid, job in zip(arrived, new_jobs):
+                desires[jid] = job.desire_vector()
+            self._ft_desires = desires
+        if self._ft_batch is not None:
+            self._ft_batch.sync(kept, carried, jids)
 
     # ------------------------------------------------------------------
     def _ft_check(self, allotments, caps_t) -> None:
         """Vectorised equivalent of :func:`check_allotments` (vec path)."""
         D = self._ft_D
         A = np.zeros_like(D)
-        idx = self._ft_rowidx
+        idx = self._ft_row_of()
         for jid, a in allotments.items():
             A[idx[jid]] = a
         self._ft_check_matrix(A, caps_t)
@@ -546,8 +557,8 @@ class FastSimulator(Simulator):
 
         # Membership reconciliation happens exactly where the reference
         # scheduler runs register+prune: at allocation time.
-        if arrivals or self._ft_dirty:
-            self._ft_sync()
+        if arrivals or self._ft_gone:
+            self._ft_sync(arrivals)
 
         if self._ft_lean:
             # ----------------------------------------------------------
@@ -609,6 +620,7 @@ class FastSimulator(Simulator):
                         )
                         st.completion[jid] = t
                         completions.append(jid)
+                        self._ft_gone.append(r)
                         del st.alive[jid]
                 D[served] = np.minimum(self._ft_P[served], R[served])
             if prof is not None:
@@ -659,7 +671,7 @@ class FastSimulator(Simulator):
             progress = 0
             rng = self._rng
             policy = self._policy
-            idx = self._ft_rowidx
+            idx = self._ft_row_of() if self._ft_vec else None
             for jid, alloc in allotments.items():
                 alloc = np.asarray(alloc, dtype=np.int64)
                 if not alloc.any():
@@ -694,7 +706,7 @@ class FastSimulator(Simulator):
                     else:
                         post_exec[jid] = job.desire_vector()
             if killed:
-                self._ft_dirty = True
+                self._ft_leave(killed)
             if prof is not None:
                 prof.lap("faults")
 
@@ -702,7 +714,7 @@ class FastSimulator(Simulator):
                 quarantined_before = len(st.quarantined)
                 self._supervise(t, caps_t, desires, allotments, executed)
                 if len(st.quarantined) != quarantined_before:
-                    self._ft_dirty = True
+                    self._ft_leave(list(st.quarantined)[quarantined_before:])
             if prof is not None:
                 prof.lap("supervise")
 
@@ -753,9 +765,9 @@ class FastSimulator(Simulator):
                         st.completion[jid] = t
                         completions.append(jid)
                         del st.alive[jid]
+                self._ft_leave(completions)
         if completions:
             st.makespan = t
-            self._ft_dirty = True
 
         if obs is not None:
             if self._ft_lean:
@@ -833,7 +845,7 @@ class FastSimulator(Simulator):
                 progress > 0
                 and not arrivals
                 and not completions
-                and not self._ft_dirty
+                and not self._ft_gone
                 and not self._faulty
                 and self._ft_batch.quiescent()
             ):
@@ -866,7 +878,7 @@ class FastSimulator(Simulator):
             and not completions
             and not failed
             and not killed
-            and not self._ft_dirty
+            and not self._ft_gone
             and not self._faulty
             and st.trace is None
             and self._journal is None

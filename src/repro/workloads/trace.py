@@ -295,7 +295,9 @@ class WorkloadTraceWriter:
     parse error naming the record).  ``append=True`` re-opens an
     existing trace and keeps appending after its last record — the
     recovered-service path; the on-disk header is validated, not
-    rewritten.  The trace is observability: the *durable* submission
+    rewritten.  A final line without its newline is a write torn by a
+    crash: it is truncated before appending resumes, while a malformed
+    line anywhere before it still raises :class:`SerializationError`.  The trace is observability: the *durable* submission
     record is the engine journal (see
     :func:`workload_trace_from_journal`).
     """
@@ -316,9 +318,18 @@ class WorkloadTraceWriter:
     ) -> None:
         self.path = path
         header_needed = True
-        if append and os.path.exists(path) and os.path.getsize(path) > 0:
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = WorkloadTrace.from_lines(fh)
+        data = b""
+        if append and os.path.exists(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if data and not data.endswith(b"\n"):
+                data = data[: data.rfind(b"\n") + 1]
+                with open(path, "r+b") as fh:
+                    fh.truncate(len(data))
+        if data:
+            existing = WorkloadTrace.from_lines(
+                data.decode("utf-8").splitlines()
+            )
             if existing.capacities != tuple(int(c) for c in capacities):
                 raise SerializationError(
                     f"cannot append to {path}: trace records capacities "

@@ -94,6 +94,30 @@ class TestPromisedDocsExist:
             ), f"README links to missing {target}"
 
 
+class TestVersionSource:
+    def test_pyproject_reads_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        module, _, name = attr.rpartition(".")
+        import importlib
+
+        import repro
+
+        assert getattr(importlib.import_module(module), name) == (
+            repro.__version__
+        )
+
+    def test_changelog_heads_with_the_package_version(self):
+        import repro
+
+        first = re.search(r"^## (\S+)", read("CHANGELOG.md"), re.M)
+        assert first and first.group(1) == repro.__version__
+
+
 class TestBenchCoverage:
     def test_every_experiment_has_a_bench(self):
         bench_dir = os.path.join(ROOT, "benchmarks")

@@ -137,6 +137,39 @@ class TestTraceFormat:
         assert len(tr.records) == 2
         assert tr.records[1]["tenant"] == "b"
 
+    def _three_submits(self, path):
+        rng = np.random.default_rng(0)
+        with WorkloadTraceWriter(path, capacities=(4, 2)) as w:
+            for jid in range(3):
+                job = random_phase_job(rng, 2, job_id=jid)
+                w.record_submit(t=jid, release=jid, tenant="a", job=job)
+
+    def test_writer_append_truncates_torn_tail(self, tmp_path):
+        path = tmp_path / "w.ndjson"
+        self._three_submits(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:-15])  # a crash tore the last record
+        with WorkloadTraceWriter(
+            str(path), capacities=(4, 2), append=True
+        ) as w:
+            w.record_cancel(t=5, job_id=0)
+        tr = WorkloadTrace.load(str(path))
+        assert [r["kind"] for r in tr.records] == [
+            "submit",
+            "submit",
+            "cancel",
+        ]
+        assert [r["t"] for r in tr.records] == [0, 1, 5]
+
+    def test_writer_append_refuses_mid_file_corruption(self, tmp_path):
+        path = tmp_path / "w.ndjson"
+        self._three_submits(str(path))
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:-15]  # the second record, not the tail
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SerializationError, match="record 1"):
+            WorkloadTraceWriter(str(path), capacities=(4, 2), append=True)
+
     def test_writer_append_checks_capacities(self, tmp_path):
         path = str(tmp_path / "w.ndjson")
         with WorkloadTraceWriter(path, capacities=(4, 2)):
