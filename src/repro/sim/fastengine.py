@@ -9,7 +9,7 @@ the differential layer in :mod:`repro.sim.conformance` and
 ``tests/test_conformance_fast.py`` verify; the reference engine stays the
 executable specification.
 
-Four mechanisms carry the speedup:
+Five mechanisms carry the speedup:
 
 1. **Incremental desire tracking.**  For backends declaring
    ``Job.incremental_desires`` (desires change only through ``execute``
@@ -22,27 +22,37 @@ Four mechanisms carry the speedup:
    back to re-polling each live job exactly once per step, the
    reference's call pattern.
 
-2. **Vectorised K-RAD.**  When the scheduler is exactly
-   :class:`~repro.schedulers.krad.KRad`, allocation runs through
-   :meth:`~repro.schedulers.krad.KRad.begin_batch`: numpy kernels over
-   the desire matrix (argsorts over service-sequence numbers replace
-   per-job Python list scans).  Any other scheduler transparently uses
-   its normal ``allocate`` with the incrementally maintained desire
-   dict, so ``engine="fast"`` is always safe to pass.
+2. **Delta-sized membership sync.**  A row keeps its place while its
+   job lives.  Departures (completions, kills, quarantines) are noted by
+   row as they happen, and at the next allocation one compaction drops
+   them while this step's arrivals are appended as one block, so row
+   order stays the live dict's order.  No Python loop runs over the live
+   set: a sync costs O(rows that changed) in Python plus one numpy copy
+   per state matrix.
 
-3. **Lean phase execution.**  When every job is a plain
+3. **Vectorised K-RAD.**  When the scheduler is exactly
+   :class:`~repro.schedulers.krad.KRad`, allocation runs through
+   :meth:`~repro.schedulers.krad.KRad.begin_batch`: one per-category
+   step over the desire matrix, ordering rows by service-sequence
+   numbers instead of scanning per-job Python lists.  Few rows take a
+   pure-Python branch of that step (numpy's per-call cost dominates
+   there); many rows take numpy argsorts.  Any other scheduler
+   transparently uses its normal ``allocate`` with the incrementally
+   maintained desire dict, so ``engine="fast"`` is always safe to pass.
+
+4. **Lean phase execution.**  When every job is a plain
    :class:`~repro.jobs.phase_job.PhaseJob` and nothing consumes per-task
    ids (no trace, no fault model, no supervisor, no journal, no
    ``on_step`` hook), the engine holds the jobs' runtime state —
-   current-phase remaining work, parallelism, phase index, executed
-   counter — in ``(n, K)`` arrays and applies each step's allotment
-   matrix with a handful of numpy operations instead of one
-   ``Job.execute`` call per served job.  Job objects are re-synchronised
-   from the arrays whenever observable state is needed: at completion,
-   and before any :meth:`digest` / :meth:`checkpoint`, so snapshots stay
-   bit-identical to the reference.
+   current-phase remaining work, parallelism and desire, phase index,
+   executed counter — in one ``(n, 3K + 4)`` matrix and applies each
+   step's allotment matrix with a handful of numpy operations instead of
+   one ``Job.execute`` call per served job.  Job objects are
+   re-synchronised from the matrix whenever observable state is needed:
+   at completion, and before any :meth:`digest` / :meth:`checkpoint`, so
+   snapshots stay bit-identical to the reference.
 
-4. **Quiescent-span skipping.**  After a step in which every category
+5. **Quiescent-span skipping.**  After a step in which every category
    was in DEQ mode (no open round-robin cycle) and the whole desire
    matrix fits under the capacities, the next allocation is provably the
    desire matrix itself, repeated verbatim — so the engine advances
