@@ -110,7 +110,6 @@ class KRadBatch:
     scalar_rows = 16
 
     def __init__(self, krad: "KRad", jids) -> None:
-        self._krad = krad
         self.jids: list[int] = list(jids)
         n, k = len(self.jids), len(krad._states)
         alive = set(self.jids)

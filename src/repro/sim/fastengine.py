@@ -82,6 +82,7 @@ from repro.sim.trace import StepRecord
 
 __all__ = ["FastSimulator"]
 
+
 def _realign(X: np.ndarray, kept, add) -> np.ndarray:
     """Rows ``kept`` of ``X`` (all of them if None), then the rows of
     ``add`` (if any): one compaction plus one append."""
@@ -162,13 +163,13 @@ class FastSimulator(Simulator):
         self._ft_D = np.zeros((0, k), dtype=np.int64) if self._ft_vec else None
         self._ft_desires: dict[int, np.ndarray] = {}
         if self._ft_lean:
-            self._ft_lean_rows(np.zeros((0, 3 * k + 4), dtype=np.int64))
+            self._ft_bind(np.zeros((0, 3 * k + 4), dtype=np.int64))
         self._ft_batch: KRadBatch | None = None
         self._ft_sync(list(st.alive))
         if self._ft_vec:
             self._ft_batch = self._scheduler.begin_batch(self._ft_jids)
 
-    def _ft_lean_rows(self, S: np.ndarray) -> None:
+    def _ft_bind(self, S: np.ndarray) -> None:
         """Install the lean-mode row state ``S`` and its column views:
         current-phase remaining work ``R``, parallelism ``P`` and desire
         ``D`` (K columns each), then phase index, last executed phase
@@ -334,7 +335,7 @@ class FastSimulator(Simulator):
                     [self._ft_lean_row(job) for job in new_jobs],
                     dtype=np.int64,
                 )
-            self._ft_lean_rows(_realign(S, kept, add))
+            self._ft_bind(_realign(S, kept, add))
             prev = self._obs_prev_alloc
             if type(prev) is list:
                 # Realign the previous-allotment matrix to the new rows
