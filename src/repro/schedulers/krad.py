@@ -44,9 +44,9 @@ class _BatchCategory:
     assigning it the next fresh number.  Rotating served jobs in their
     original relative order therefore reproduces the list semantics of
     :meth:`RadCategoryState._rotate` exactly.  ``seq`` and ``marked`` are
-    column views of the batch's ``(n, K)`` matrices, and the fresh numbers
-    come from one counter shared by all categories (only their order
-    within a category matters).
+    rows of the batch's ``(K, n)`` matrices, and the fresh numbers come
+    from one counter shared by all categories (only their order within a
+    category matters).
     """
 
     __slots__ = ("seq", "marked", "rotate", "transitions", "n_marked")
@@ -114,8 +114,8 @@ class KRadBatch:
         n, k = len(self.jids), len(krad._states)
         alive = set(self.jids)
         self._cats = [_BatchCategory(state) for state in krad._states]
-        self.seq = np.empty((n, k), dtype=np.int64)
-        self.marked = np.zeros((n, k), dtype=bool)
+        self.seq = np.empty((k, n), dtype=np.int64)
+        self.marked = np.zeros((k, n), dtype=bool)
         self.next_seq = n
         for alpha, state in enumerate(krad._states):
             # Seed queue order from the canonical state: known jobs keep
@@ -125,17 +125,17 @@ class KRadBatch:
             seen = set(order)
             order += [j for j in self.jids if j not in seen]
             rank = {j: i for i, j in enumerate(order)}
-            self.seq[:, alpha] = [rank[j] for j in self.jids]
+            self.seq[alpha] = [rank[j] for j in self.jids]
             marked = state._marked & alive
-            self.marked[:, alpha] = [j in marked for j in self.jids]
+            self.marked[alpha] = [j in marked for j in self.jids]
         self._bind()
 
     def _bind(self, recount: bool = True) -> None:
-        """Point each category at its columns of the state matrices."""
-        counts = self.marked.sum(axis=0).tolist() if recount else None
+        """Point each category at its rows of the state matrices."""
+        counts = self.marked.sum(axis=1).tolist() if recount else None
         for alpha, c in enumerate(self._cats):
-            c.seq = self.seq[:, alpha]
-            c.marked = self.marked[:, alpha]
+            c.seq = self.seq[alpha]
+            c.marked = self.marked[alpha]
             if recount:
                 c.n_marked = counts[alpha]
 
@@ -153,19 +153,19 @@ class KRadBatch:
         """
         seq, marked = self.seq, self.marked
         if kept is not None:
-            seq, marked = seq[kept], marked[kept]
-        m = len(jids) - len(seq)
+            seq, marked = seq.take(kept, axis=1), marked.take(kept, axis=1)
+        m = len(jids) - seq.shape[1]
         if m:
-            k = seq.shape[1]
+            k = len(seq)
             nxt = self.next_seq
             self.next_seq = nxt + m
-            add = [[v] * k for v in range(nxt, nxt + m)]
-            mark = np.zeros((m, k), dtype=bool)
+            add = np.arange(nxt, nxt + m, dtype=np.int64)[None].repeat(k, 0)
+            mark = np.zeros((k, m), dtype=bool)
             for i, r in carried:
-                add[i] = self.seq[r]
-                mark[i] = self.marked[r]
-            seq = np.concatenate([seq, np.array(add, dtype=np.int64)])
-            marked = np.concatenate([marked, mark])
+                add[:, i] = self.seq[:, r]
+                mark[:, i] = self.marked[:, r]
+            seq = np.concatenate([seq, add], axis=1)
+            marked = np.concatenate([marked, mark], axis=1)
         self.seq, self.marked = seq, marked
         self.jids = jids
         # marks only change count when marked rows leave or come back
@@ -202,8 +202,10 @@ class KRadBatch:
 
         ``act`` holds the alpha-active rows in ascending order and ``col``
         the alpha-desires by row.  Returns the served rows and their
-        allotments in service order: round-robin picks in queue order,
-        or the DEQ partition in :func:`deq_allocate`'s order.
+        allotments (a list, or one int every row gets) in service order:
+        round-robin picks in queue order, or the DEQ partition in
+        :func:`deq_allocate`'s order.  The numpy branch keeps row sets as
+        arrays, since indexing with a list costs a conversion per call.
         """
         if not len(act):
             if c.n_marked:
@@ -215,15 +217,14 @@ class KRadBatch:
         seq = c.seq
         if vec:
             am = c.marked[act]
-            unmarked, mact = act[~am], act[am]
+            unmarked = act[~am]
 
             def first(rows, m):  # the m earliest rows in queue order
-                return rows[np.argsort(seq[rows])[:m]].tolist()
+                return rows[np.argsort(seq[rows])[:m]]
 
         else:
             marked = c.marked.tolist()
             unmarked = [r for r in act if not marked[r]]
-            mact = [r for r in act if marked[r]]
             key = seq.tolist().__getitem__
 
             def first(rows, m):
@@ -240,17 +241,18 @@ class KRadBatch:
             c.marked[chosen] = True
             c.n_marked += len(chosen)
             self._rotate(c, chosen)
-            return chosen, [1] * len(chosen)
+            return chosen, 1
         # DEQ step (closing any open cycle): unmarked actives, then the
         # first min(|Q'|, cap - |Q|) marked actives, each in queue order.
         # (|Q| <= cap here, so the queue is at most cap rows long.)
+        mact = act[am] if vec else [r for r in act if marked[r]]
         take = min(len(mact), cap - len(unmarked))
         closing = c.n_marked > 0
         if closing:
             self._close(c)
-        part = first(unmarked, cap)
+        part = list(first(unmarked, cap))
         if take > 0:
-            part += first(mact, take)
+            part += list(first(mact, take))
         if not part:
             return (), ()
         want = col[part].tolist() if vec else [col[r] for r in part]
@@ -286,6 +288,8 @@ class KRadBatch:
         for alpha, (rows, allots) in enumerate(
             self._steps(desire_matrix, capacities)
         ):
+            if type(allots) is int:
+                allots = [allots] * len(rows)
             for r, a in zip(rows, allots):
                 row = out.get(jids[r])
                 if row is None:
@@ -302,7 +306,7 @@ class KRadBatch:
         for alpha, (rows, allots) in enumerate(
             self._steps(desire_matrix, capacities)
         ):
-            if rows:
+            if len(rows):
                 A[rows, alpha] = allots
         return A
 
