@@ -44,9 +44,9 @@ class _BatchCategory:
     assigning it the next fresh number.  Rotating served jobs in their
     original relative order therefore reproduces the list semantics of
     :meth:`RadCategoryState._rotate` exactly.  ``seq`` and ``marked`` are
-    rows of the batch's ``(K, n)`` matrices, and the fresh numbers come
-    from one counter shared by all categories (only their order within a
-    category matters).
+    this category's slices of the batch's ``(K, n)`` matrices (one entry
+    per job row), and the fresh numbers come from one counter shared by
+    all categories (only their order within a category matters).
     """
 
     __slots__ = ("seq", "marked", "rotate", "transitions", "n_marked")
