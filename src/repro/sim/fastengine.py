@@ -342,12 +342,14 @@ class FastSimulator(Simulator):
                 )
             self._ft_D = _realign(self._ft_D, kept, add)
         elif self._ft_incr:
-            desires = dict(self._ft_desires)  # the trace may hold the old
+            if st.trace is not None:
+                # the recorded step keeps its desire dict intact
+                self._ft_desires = dict(self._ft_desires)
+            desires = self._ft_desires
             for r in gone:
                 desires.pop(old_jids[r], None)
             for jid, job in zip(arrived, new_jobs):
                 desires[jid] = job.desire_vector()
-            self._ft_desires = desires
         if self._ft_lean:
             add = None
             if new_jobs:

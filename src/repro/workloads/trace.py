@@ -297,9 +297,9 @@ class WorkloadTraceWriter:
     recovered-service path; the on-disk header is validated, not
     rewritten.  A final line without its newline is a write torn by a
     crash: it is truncated before appending resumes, while a malformed
-    line anywhere before it still raises :class:`SerializationError`.  The trace is observability: the *durable* submission
-    record is the engine journal (see
-    :func:`workload_trace_from_journal`).
+    line anywhere before it still raises :class:`SerializationError`.
+    The trace is observability: the *durable* submission record is the
+    engine journal (see :func:`workload_trace_from_journal`).
     """
 
     def __init__(
